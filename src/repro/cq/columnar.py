@@ -31,11 +31,13 @@ set.  This module removes that price structurally:
 The tree-walking logic is *not* duplicated: :func:`build_columnar_bag_tree`
 arranges :class:`ColumnarRelation` objects along the decomposition exactly
 like :func:`repro.cq.bags.build_bag_join_tree`, and the resulting
-:class:`~repro.cq.yannakakis.JoinTree` runs through the existing
+:class:`~repro.cq.yannakakis.JoinTree` runs through the same
 ``yannakakis_boolean`` / ``yannakakis_full`` / ``semijoin_reduce`` passes
-unchanged — they are duck-typed over the relation interface (``columns``,
-``natural_join``, ``semijoin``, ``semijoin_inplace``, ``project``,
-``__len__``).  Only the counting DP needs a columnar twin
+as the tuple-set kernel — they are duck-typed over the relation interface
+(``columns``, ``natural_join``, ``semijoin``, ``semijoin_inplace``,
+``project``, ``__len__``).  ``yannakakis_full`` is output-aware, for both
+kernels alike: it re-roots the tree at an output bag and joins only the
+subtrees that carry output columns.  Only the counting DP needs a columnar twin
 (:func:`columnar_count_join_tree`), because the tuple-set DP iterates
 ``relation.rows`` directly.
 

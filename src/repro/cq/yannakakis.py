@@ -8,6 +8,10 @@ upper bound; the GHD-guided evaluator in
 :mod:`repro.cq.decomposition_eval` reduces bounded-ghw queries to exactly this
 routine after materialising bag relations (:mod:`repro.cq.bags`).
 
+The join sweep is output-aware (:func:`yannakakis_full`): it is rooted at a
+node carrying output columns, and only the subtrees that add output columns
+are joined and visited by the downward pass.
+
 Within the unified engine (:mod:`repro.engine`) this module is the execution
 half of both decomposition strategies: the planner's ``direct-yannakakis``
 and ``ghd-guided`` plans only differ in which decomposition feeds the bag
@@ -16,7 +20,7 @@ materialisation that ends here.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Collection, Hashable, Mapping, Sequence
 
 from repro.cq.relational import NamedRelation
 from repro.cq.statistics import (
@@ -69,6 +73,22 @@ class JoinTree:
                 frontier.append(child)
         return order
 
+    def rerooted(self, node: Node) -> "JoinTree":
+        """The same tree rooted at ``node``: the parent edges on the path
+        from ``node`` up to the current root are reversed, every other edge
+        keeps its direction.  Returns ``self`` when ``node`` is the root."""
+        if node not in self.parent:
+            raise KeyError(node)
+        if node == self.root:
+            return self
+        parent = dict(self.parent)
+        below, current = None, node
+        while current is not None:
+            above = self.parent[current]
+            parent[current] = below
+            below, current = current, above
+        return JoinTree(self.relations, parent)
+
 
 def _ordered_children(relations, parent_relation, children: list) -> list:
     """The order in which a parent consumes its children's semijoin filters.
@@ -101,11 +121,18 @@ def _ordered_children(relations, parent_relation, children: list) -> list:
     return sorted(children, key=fraction)
 
 
-def semijoin_reduce(tree: JoinTree) -> dict[Node, NamedRelation]:
+def semijoin_reduce(
+    tree: JoinTree, descend: Collection[Node] | None = None
+) -> dict[Node, NamedRelation]:
     """The two semijoin passes of Yannakakis; returns the reduced relations.
 
     After reduction every remaining row participates in at least one global
     solution (the *global consistency* property of acyclic instances).
+
+    ``descend`` limits the downward pass to the given children (all of them
+    by default).  The upward pass always runs in full, so the root — and
+    every node the downward pass reaches — is still globally consistent;
+    the other nodes are only filtered by their own subtrees.
 
     The upward pass visits parents leaves-first and consumes each parent's
     children in selectivity order (:func:`_ordered_children`) — equivalent
@@ -140,7 +167,8 @@ def semijoin_reduce(tree: JoinTree) -> dict[Node, NamedRelation]:
     # Downward pass (root to leaves): filter children by parents.
     for node in order:
         for child in tree.children[node]:
-            filter_node(child, node)
+            if descend is None or child in descend:
+                filter_node(child, node)
     return relations
 
 
@@ -161,59 +189,90 @@ def yannakakis_boolean(tree: JoinTree) -> bool:
     return bool(relations[tree.root])
 
 
+def _output_root(tree: JoinTree, output: set) -> Node:
+    """A node whose relation carries the most output columns.  Ties go to
+    the first node in root-first order, so the current root keeps its place
+    on a tie."""
+    return max(
+        tree.topological_order(),
+        key=lambda node: sum(c in output for c in tree.relations[node].columns),
+    )
+
+
+def _sweep_plan(tree: JoinTree, output: set) -> tuple[set, dict]:
+    """The evaluated subtree of the output-aware sweep, in one bottom-up pass.
+
+    Returns ``(descend, needed_above)``: the children the sweep joins into
+    their parents, and for each non-root node the columns its result must
+    keep for its parent — the output columns of its evaluated subtree plus
+    the columns it shares with its parent.  By the running-intersection
+    property those are the only columns of a subtree that occur outside
+    it.
+
+    A child is descended into only when its subtree carries an output column
+    its parent lacks.  Otherwise the subtree is a pure filter: after the
+    upward pass every parent row already extends into it, so joining it
+    back is the identity.
+    """
+    descend: set = set()
+    needed_above: dict = {}
+    below: dict = {}
+    for node in reversed(tree.topological_order()):
+        columns = tree.relations[node].columns
+        outputs = {c for c in columns if c in output}
+        for child in tree.children[node]:
+            if not below[child].issubset(columns):
+                descend.add(child)
+                outputs |= below[child]
+        below[node] = outputs
+        parent = tree.parent[node]
+        if parent is not None:
+            parent_columns = tree.relations[parent].columns
+            needed_above[node] = outputs.union(
+                c for c in columns if c in parent_columns
+            )
+    return descend, needed_above
+
+
 def yannakakis_full(tree: JoinTree, output_columns: Sequence[Hashable] | None = None) -> NamedRelation:
     """Full enumeration via Yannakakis: semijoin-reduce, then join bottom-up,
     projecting intermediate results onto the columns still needed above.
 
     ``output_columns`` defaults to the union of all columns (the full CQ
     case); supplying a subset yields the projection of the answers.
+
+    The sweep is output-aware.  It is rooted at a node carrying the most
+    output columns (:meth:`JoinTree.rerooted`), and joins only the subtrees
+    that carry an output column their parent lacks (:func:`_sweep_plan`);
+    the downward semijoin pass runs along those edges only.  Every other
+    subtree is a filter the upward pass has already applied, so the answers
+    are exact.
     """
-    reduced = semijoin_reduce(tree)
-    all_columns: list = []
-    for relation in tree.relations.values():
-        for column in relation.columns:
-            if column not in all_columns:
-                all_columns.append(column)
+    all_columns = dict.fromkeys(
+        column for relation in tree.relations.values() for column in relation.columns
+    )
     if output_columns is None:
         output_columns = tuple(all_columns)
     else:
         output_columns = tuple(output_columns)
-
-    needed_above: dict[Node, set] = {}
-
-    def columns_needed(node: Node) -> set:
-        # Columns that must survive when node's result is handed to its parent:
-        # output columns plus columns shared with anything outside the subtree.
-        subtree_nodes = set()
-        frontier = [node]
-        while frontier:
-            current = frontier.pop()
-            subtree_nodes.add(current)
-            frontier.extend(tree.children[current])
-        outside_columns: set = set()
-        for other, relation in tree.relations.items():
-            if other not in subtree_nodes:
-                outside_columns.update(relation.columns)
-        own_columns: set = set()
-        for member in subtree_nodes:
-            own_columns.update(tree.relations[member].columns)
-        return own_columns & (outside_columns | set(output_columns))
-
-    for node in tree.relations:
-        needed_above[node] = columns_needed(node)
-
-    def evaluate(node: Node) -> NamedRelation:
-        result = reduced[node]
-        for child in tree.children[node]:
-            child_result = evaluate(child)
-            result = result.natural_join(child_result)
-        keep = [c for c in result.columns if c in needed_above[node] or node == tree.root]
-        if node == tree.root:
-            keep = [c for c in result.columns if c in set(output_columns)] or list(result.columns)
-        return result.project(keep)
-
-    final = evaluate(tree.root)
-    missing = [c for c in output_columns if c not in final.columns]
+    missing = [c for c in output_columns if c not in all_columns]
     if missing:
         raise ValueError(f"output columns {missing!r} do not occur in the join tree")
-    return final.project(output_columns)
+    output = set(output_columns)
+    tree = tree.rerooted(_output_root(tree, output))
+    descend, needed_above = _sweep_plan(tree, output)
+    reduced = semijoin_reduce(tree, descend=descend)
+
+    results: dict[Node, NamedRelation] = {}
+    for node in reversed(tree.topological_order()):
+        if node != tree.root and node not in descend:
+            continue
+        result = reduced[node]
+        for child in tree.children[node]:
+            if child in descend:
+                result = result.natural_join(results.pop(child))
+        if node != tree.root:
+            keep = needed_above[node]
+            result = result.project([c for c in result.columns if c in keep])
+        results[node] = result
+    return results[tree.root].project(output_columns)

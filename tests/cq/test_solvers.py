@@ -20,7 +20,9 @@ from repro.cq import (
 from repro.cq import generators as cqgen
 from repro.cq.counting import count_answers_via_join_tree, naive_count
 from repro.cq.decomposition_eval import build_bag_join_tree, DecompositionMismatchError
-from repro.cq.relational import NamedRelation
+from repro.cq.columnar import ColumnarRelation, build_columnar_bag_tree
+from repro.cq.homomorphism import naive_enumerate_answers
+from repro.cq.relational import NamedRelation, from_atom
 from repro.cq.yannakakis import JoinTree, yannakakis_boolean, yannakakis_full
 from repro.widths.ghw import ghw_upper_bound
 
@@ -119,6 +121,134 @@ class TestYannakakis:
     def test_counting_dp_matches_naive(self):
         tree = self._tree()
         assert count_answers_via_join_tree(tree) == naive_count(tree)
+
+    def test_rerooted_reverses_the_path_to_the_new_root(self):
+        tree = self._tree().rerooted("left")
+        assert tree.root == "left"
+        assert tree.parent == {"left": None, "top": "left", "right": "top"}
+        assert tree.children["top"] == ["right"]
+        assert self._tree().rerooted("top").parent["top"] is None
+        with pytest.raises(KeyError):
+            tree.rerooted("nowhere")
+
+    def test_projection_onto_a_leaf_matches_the_full_join(self):
+        tree = self._tree()
+        full = yannakakis_full(tree)
+        for columns in [("z",), ("w", "z"), ("x", "w"), ()]:
+            expected = full.project(columns).rows
+            assert yannakakis_full(tree, output_columns=columns).rows == expected
+
+    def test_unknown_output_column_rejected(self):
+        with pytest.raises(ValueError):
+            yannakakis_full(self._tree(), output_columns=("nope",))
+
+
+def _decoded(relation):
+    return relation.decode_rows() if isinstance(relation, ColumnarRelation) else relation.rows
+
+
+# (bag tree builder, per-atom relation, relation class) for each kernel.
+KERNELS = [
+    pytest.param(build_bag_join_tree, from_atom, NamedRelation, id="tuple-set"),
+    pytest.param(
+        build_columnar_bag_tree,
+        lambda atom, database: database.columnar_view(atom),
+        ColumnarRelation,
+        id="columnar",
+    ),
+]
+
+# A spine R0(x0,x1) - R1(x1,x2) - R2(x2,x3) - R3(x3,x4) with a pendant
+# filter S_i(x_i, y_i) on every spine node, rooted at the middle pendant so
+# the sweep has to re-root towards an output bag.
+_CATERPILLAR_PARENT = {
+    "S2": None, "R2": "S2", "R1": "R2", "R0": "R1", "R3": "R2",
+    "S0": "R0", "S1": "R1", "S3": "R3",
+}
+
+
+class TestOutputAwareSweep:
+    """Structural guard for the output-aware Yannakakis sweep: subtrees
+    without output columns are filters the upward pass already applied, so
+    they are neither joined nor visited by the downward pass."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, relation_class):
+        calls = {"natural_join": [], "semijoin": 0}
+
+        def wrap(name, record):
+            original = getattr(relation_class, name)
+
+            def counted(self, other):
+                record(self, other)
+                return original(self, other)
+
+            monkeypatch.setattr(relation_class, name, counted)
+
+        def count_semijoin(self, other):
+            calls["semijoin"] += 1
+
+        wrap("natural_join", lambda self, other: calls["natural_join"].append(
+            set(self.columns) | set(other.columns)))
+        wrap("semijoin", count_semijoin)
+        wrap("semijoin_inplace", count_semijoin)
+        return calls
+
+    @staticmethod
+    def _rotated_cycle6(rotation):
+        # Rotating the cycle's variable names maps its edge set onto itself,
+        # so the decomposition and its bag names stay put; the rotated
+        # query's x0 is the original's x_rotation, and projecting onto it
+        # moves the output between bags of different ``repr`` rank.
+        return cqgen.cycle_query(6).project([f"x{rotation}"])
+
+    def test_rotations_move_the_output_off_the_default_root(self):
+        missed = []
+        for rotation in range(6):
+            query = self._rotated_cycle6(rotation)
+            database = cqgen.random_database(query, 6, 24, seed=rotation)
+            tree = build_bag_join_tree(
+                query, database, ghw_upper_bound(query.hypergraph()).decomposition
+            )
+            (output,) = query.free_variables
+            missed.append(output not in tree.relations[tree.root].columns)
+        assert any(missed), "every rotation's output sits in the default root"
+
+    @pytest.mark.parametrize("build,atom_relation,relation_class", KERNELS)
+    @pytest.mark.parametrize("rotation", range(6))
+    def test_cycle6_projected_to_one_variable_joins_nothing(
+        self, monkeypatch, build, atom_relation, relation_class, rotation
+    ):
+        query = self._rotated_cycle6(rotation)
+        database = cqgen.random_database(query, 6, 24, seed=rotation)
+        tree = build(query, database, ghw_upper_bound(query.hypergraph()).decomposition)
+        calls = self._count_calls(monkeypatch, relation_class)
+        result = yannakakis_full(tree, output_columns=query.free_variables)
+        assert _decoded(result) == naive_enumerate_answers(query, database)
+        assert calls["natural_join"] == []
+        # Only the upward pass semijoins: one per tree edge.
+        assert calls["semijoin"] == len(tree.relations) - 1
+
+    @pytest.mark.parametrize("build,atom_relation,relation_class", KERNELS)
+    def test_distant_outputs_join_exactly_the_path(
+        self, monkeypatch, build, atom_relation, relation_class
+    ):
+        spine = [Atom(f"R{i}", [f"x{i}", f"x{i + 1}"]) for i in range(4)]
+        pendants = [Atom(f"S{i}", [f"x{i}", f"y{i}"]) for i in range(4)]
+        query = ConjunctiveQuery(spine + pendants).project(["x0", "x4"])
+        database = cqgen.random_database(query, 5, 14, seed=3)
+        tree = JoinTree(
+            {a.relation: atom_relation(a, database) for a in spine + pendants},
+            _CATERPILLAR_PARENT,
+        )
+        calls = self._count_calls(monkeypatch, relation_class)
+        result = yannakakis_full(tree, output_columns=query.free_variables)
+        assert _decoded(result) == naive_enumerate_answers(query, database)
+        # R0 - R1 - R2 - R3: three joins over spine columns only, and three
+        # downward semijoins on top of the seven upward ones.
+        assert len(calls["natural_join"]) == 3
+        assert set().union(*calls["natural_join"]) == {f"x{i}" for i in range(5)}
+        assert calls["semijoin"] == 7 + 3
 
 
 class TestDecompositionGuidedEvaluation:
